@@ -116,7 +116,6 @@ pub struct Simulator {
     flow_ranges: Vec<Vec<FlowRange>>,
     traces: Vec<RateTrace>,
     link_traces: Vec<Vec<TraceId>>,
-    drops_by_flow: FnvHashMap<FlowId, u64>,
     /// In-flight packets, parked here while their `Deliver` event is
     /// pending so the event itself carries only a small handle.
     arena: PacketArena,
@@ -232,7 +231,6 @@ impl Simulator {
             flow_ranges: vec![Vec::new(); n_nodes],
             traces: Vec::new(),
             link_traces: vec![Vec::new(); n_links],
-            drops_by_flow: FnvHashMap::default(),
             arena: PacketArena::new(),
             next_uid: 1,
             stats: SimStats::default(),
@@ -467,17 +465,6 @@ impl Simulator {
     /// The routing table in force.
     pub fn routing(&self) -> &RoutingTable {
         &self.routing
-    }
-
-    /// Packets dropped so far that belonged to `flow`.
-    pub fn drops_for_flow(&self, flow: FlowId) -> u64 {
-        let mut drops = self.drops_by_flow.get(&flow).copied().unwrap_or(0);
-        if let Some(rt) = self.sharding.as_deref() {
-            for shard in &rt.shards {
-                drops += shard.drops_for_flow(flow);
-            }
-        }
-        drops
     }
 
     /// Attaches `agent` to `node` and schedules its [`Agent::start`] at
@@ -810,7 +797,6 @@ impl Simulator {
             }
             LinkAccept::Dropped => {
                 self.stats.queue_drops += 1;
-                *self.drops_by_flow.entry(packet.flow).or_insert(0) += 1;
                 false
             }
         };
@@ -1513,7 +1499,6 @@ impl Simulator {
             flow_ranges: self.flow_ranges.clone(),
             traces: self.traces.clone(),
             link_traces: self.link_traces.clone(),
-            drops_by_flow: self.drops_by_flow.clone(),
             arena: self.arena.clone(),
             next_uid: self.next_uid,
             stats: self.stats,
@@ -1554,7 +1539,6 @@ impl Simulator {
             .iter()
             .map(|v| v.len() * size_of::<FlowRange>())
             .sum::<usize>();
-        bytes += self.drops_by_flow.len() * (size_of::<FlowId>() + size_of::<u64>());
         if let Some(rt) = self.sharding.as_deref() {
             for shard in &rt.shards {
                 bytes += shard.approx_heap_bytes();
@@ -1796,11 +1780,11 @@ mod tests {
     }
 
     #[test]
-    fn queue_overflow_drops_and_attributes_flow() {
+    fn queue_overflow_drops_count_on_the_link() {
         let mut t = TopologyBuilder::new();
         let a = t.add_host("a");
         let b = t.add_host("b");
-        t.add_duplex_link(
+        let (ab, _) = t.add_duplex_link(
             a,
             b,
             BitsPerSec::from_mbps(8.0),
@@ -1824,7 +1808,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         // 1 in flight + 2 queued survive the burst; 7 dropped.
         assert_eq!(sim.stats().queue_drops, 7);
-        assert_eq!(sim.drops_for_flow(flow), 7);
+        assert_eq!(sim.link(ab).drops(), 7);
         assert_eq!(sim.agent_as::<Counter>(counter).unwrap().received, 3);
     }
 
@@ -2579,7 +2563,7 @@ mod tests {
         assert_eq!(sim.stats().delivered, 5);
         assert_eq!(sim.now(), SimTime::from_millis(500));
         assert_eq!(sim.pending_events(), 0);
-        assert_eq!(sim.drops_for_flow(flow), 0);
+        assert_eq!(sim.stats().queue_drops, 0);
     }
 
     #[test]

@@ -11,16 +11,23 @@
 //!
 //! A [`SenderBank`] instead serves a dense *range* of flows from one
 //! agent: all per-flow state lives in parallel `Vec`s (struct-of-arrays),
-//! ~26 bytes per sender-side flow, scanned and indexed without
-//! indirection. The engine sees a single agent per host; the many flows
-//! are multiplexed through the ordinary `(node, flow)` bindings, and all
-//! of their retransmission deadlines fold into one bank-level
-//! [`RtoWheel`] behind one engine timer per *deadline instant* (not per
-//! flow) — per-ACK timer cost is O(1) and a synchronized timeout storm
-//! of a million flows is a single engine timer event, no matter how many
-//! flows the bank serves. Everything stays
-//! deterministic and cloneable, so banks work under checkpoint/fork and
-//! the sharded engine's bit-identity contract.
+//! scanned and indexed without indirection. A sender-side flow costs
+//! 29 bytes: six `u32` window and sequence fields, a `u8` duplicate-ACK
+//! count and the [`RtoWheel`]'s `u32` arm epoch. A [`SinkBank`] flow
+//! costs one `u32`. The repo benchmark's `mem.bytes_per_flow` for its
+//! 10⁶-flow ring reads 39.6 B: these 33 B plus the topology's fixed
+//! allocations, chiefly the access links' preallocated queue buffers,
+//! divided by the flow count.
+//!
+//! The engine sees a single agent per host; the many flows are
+//! multiplexed through the ordinary `(node, flow)` bindings, and all of
+//! their retransmission deadlines fold into one bank-level [`RtoWheel`]
+//! behind one engine timer per *deadline instant* (not per flow) —
+//! per-ACK timer cost is O(1) and a synchronized timeout storm of a
+//! million flows is a single engine timer event, no matter how many
+//! flows the bank serves. Everything stays deterministic and cloneable,
+//! so banks work under checkpoint/fork and the sharded engine's
+//! bit-identity contract.
 //!
 //! The congestion response is deliberately compact — integer AIMD with
 //! slow start, go-back-N recovery keyed on the third duplicate ACK, and

@@ -61,8 +61,6 @@ pub struct RtoWheel {
     queue: VecDeque<Entry>,
     /// Arm epoch per slot; a queued entry is live iff its epoch matches.
     epoch: Vec<u32>,
-    /// Whether the slot currently has a live (armed, unexpired) deadline.
-    armed: Vec<bool>,
 }
 
 impl RtoWheel {
@@ -73,7 +71,6 @@ impl RtoWheel {
             rto,
             queue: VecDeque::new(),
             epoch: vec![0; n],
-            armed: vec![false; n],
         }
     }
 
@@ -105,7 +102,6 @@ impl RtoWheel {
             );
         }
         self.epoch[slot] = self.epoch[slot].wrapping_add(1);
-        self.armed[slot] = true;
         self.queue.push_back(Entry {
             deadline,
             slot: slot as u32,
@@ -139,7 +135,6 @@ impl RtoWheel {
             self.queue.pop_front();
             let slot = entry.slot as usize;
             if self.epoch[slot] == entry.epoch {
-                self.armed[slot] = false;
                 fire(slot);
             }
         }
