@@ -10,9 +10,10 @@
 //! sequence counter. Packet and link events — the bulk of the load — live
 //! in a fine-grained wheel of small `Copy` entries ([`Event`] carries a
 //! [`PacketRef`] handle, not a full packet, so an entry is a few dozen
-//! bytes): push is O(1) and pop drains a nearly-always-singleton sub-tick
-//! front list, which beat the 4-ary min-heap it replaced (comparison sifts
-//! on `(time, seq)` keys dominated event-loop profiles). Agent timers live
+//! bytes): push is O(1), and pop drains a sub-tick front tier of two
+//! key-monotone FIFO lanes plus a small heap for out-of-order stragglers,
+//! which beat the 4-ary min-heap it replaced (comparison sifts on
+//! `(time, seq)` keys dominated event-loop profiles). Agent timers live
 //! in a coarser wheel with *real* cancellation: cancelling is a generation
 //! bump on a slab slot, so the churn of TCP retransmission timers (armed
 //! and re-armed on almost every ACK) never bloats the queue with stale
@@ -28,13 +29,14 @@
 //! ## The wheels
 //!
 //! Both tiers use the same layout, differing only in tick width (`2^14` ns
-//! ≈ 16 µs for packets, chosen so the sub-tick front averages well under
-//! one entry; `2^20` ns for timers) and in whether slots hold events
-//! directly or generation-checked slab handles. Taking the timer wheel as
-//! the worked example: ticks are `2^20` ns (~1.05 ms), 8 levels of 64
-//! slots; a
-//! timer due at tick `t` is filed at the level of the highest bit where `t`
-//! differs from the wheel cursor (6 bits per level), in the slot named by
+//! ≈ 16 µs for packets, so a slot drain moves only a couple of entries;
+//! `2^20` ns for timers) and in whether slots hold events directly or
+//! generation-checked slab handles. A drained slot keeps its buffer, so
+//! once every slot a workload reaches has been filled once, neither wheel
+//! allocates. Taking the timer wheel as the worked example: ticks are
+//! `2^20` ns (~1.05 ms), 8 levels of 64 slots; a timer due at tick `t` is
+//! filed at the level of the highest bit where `t` differs from the wheel
+//! cursor (6 bits per level), in the slot named by
 //! `t`'s 6-bit digit at that level. Two invariants follow directly:
 //! every entry at level `L+1` fires after *every* entry at level `L` (its
 //! tick exceeds the cursor at a higher digit), and within a level lower
@@ -110,6 +112,14 @@ struct Scheduled {
     event: Event,
 }
 
+impl Scheduled {
+    /// The exact ordering key, `(at, sched, seq)`.
+    #[inline]
+    fn key(&self) -> (SimTime, SimTime, u64) {
+        (self.at, self.sched, self.seq)
+    }
+}
+
 /// Packet-event ticks are nanoseconds divided by `2^PKT_TICK_SHIFT`
 /// (~16.4 µs): fine enough that the sub-tick `front` list holds well
 /// under one event on average, coarse enough that propagation-delay
@@ -123,12 +133,16 @@ const PKT_LEVELS: usize = 9;
 /// sibling of [`TimerWheel`].
 ///
 /// Packet events need no handles, so the slots store [`Scheduled`]
-/// entries directly; push is O(1) (a `Vec` push plus an occupancy bit)
-/// and pop drains a sub-tick `front` min-heap that is nearly always a
-/// single element. This replaced a 4-ary min-heap whose branchy
-/// `(at, seq)` sifts dominated event-loop profiles; the wheel's ordering
-/// argument (strictly-lower-tick-first across levels, exact `(at, seq)`
-/// inside the front) is the same one the timer tier proves.
+/// entries directly; push is O(1) (a `Vec` push plus an occupancy bit).
+/// Entries due within the cursor's tick form the front tier: the
+/// same-instant lane, the FIFO lane and the `front` min-heap, each
+/// holding its entries in exact `(at, sched, seq)` order, and pop takes
+/// the smallest of their heads. An in-order arrival costs O(1); only
+/// entries that arrive out of key order in their lane pay heap sifts. This
+/// replaced a 4-ary min-heap whose branchy `(at, seq)` sifts dominated
+/// event-loop profiles; the wheel's ordering argument
+/// (strictly-lower-tick-first across levels, exact key order inside the
+/// front) is the same one the timer tier proves.
 #[derive(Debug, Clone)]
 struct PacketWheel {
     /// `PKT_LEVELS × SLOTS_PER_LEVEL` buckets of scheduled events.
@@ -137,16 +151,28 @@ struct PacketWheel {
     occupied: [u64; PKT_LEVELS],
     /// Current wheel position, in packet ticks. Never decreases.
     cursor: u64,
-    /// Entries due within the current tick, ordered by exact `(at, seq)`.
+    /// Front-tier entries that arrived out of key order in their lane,
+    /// ordered by exact `(at, sched, seq)`.
     front: BinaryHeap<Reverse<FrontEntry>>,
-    /// Key-monotone fast lane of the front tier: same-instant dispatch
-    /// chains (a bank's burst of sends, all `at == sched == now` with
-    /// increasing `seq`) append here in key order and pop FIFO, so a
-    /// synchronized million-packet burst costs O(1) per event instead of
-    /// O(log burst) heap sifts. Pop takes the smaller head of the two
-    /// front structures; keys never collide (seqs are unique).
+    /// Key-monotone lane for front-tier entries with `at > sched`: appended
+    /// in key order, popped FIFO.
     front_fifo: VecDeque<Scheduled>,
+    /// Key-monotone lane for same-instant entries (`at == sched`). The
+    /// engine's clock never regresses and seqs increase, so a dispatch
+    /// chain — a bank's burst of sends, all at `now` — appends here in key
+    /// order even while the FIFO lane holds a later entry of the same
+    /// tick, and each event costs O(1) instead of O(log burst) heap sifts.
+    front_now: VecDeque<Scheduled>,
     len: usize,
+}
+
+/// The front-tier structures of [`PacketWheel`]. Pop and peek take the
+/// smallest of their heads; keys never collide (seqs are unique).
+#[derive(Debug, Clone, Copy)]
+enum Lane {
+    Now,
+    Fifo,
+    Heap,
 }
 
 /// A [`Scheduled`] entry ordered by its `(at, sched, seq)` key. Seqs are
@@ -158,7 +184,7 @@ struct FrontEntry(Scheduled);
 impl FrontEntry {
     #[inline]
     fn key(&self) -> (SimTime, SimTime, u64) {
-        (self.0.at, self.0.sched, self.0.seq)
+        self.0.key()
     }
 }
 
@@ -192,6 +218,7 @@ impl Default for PacketWheel {
             cursor: 0,
             front: BinaryHeap::new(),
             front_fifo: VecDeque::new(),
+            front_now: VecDeque::new(),
             len: 0,
         }
     }
@@ -204,26 +231,27 @@ impl PacketWheel {
         self.place(s);
     }
 
-    /// Files `s` into the wheel slot (or the front list) where an event
+    /// Files `s` into the wheel slot (or the front tier) where an event
     /// due at `s.at` belongs, relative to the current cursor.
     #[inline]
     fn place(&mut self, s: Scheduled) {
         let tick = s.at.as_nanos() >> PKT_TICK_SHIFT;
         if tick <= self.cursor {
-            // Due within the current tick (same-instant sends, or
-            // scheduled behind an already-advanced cursor): exact
-            // ordering happens in the front tier — the FIFO lane while
-            // keys arrive in order, the heap for the rare out-of-order
-            // straggler.
-            let entry = FrontEntry(s);
-            if self
-                .front_fifo
-                .back()
-                .is_none_or(|b| FrontEntry(*b).key() <= entry.key())
-            {
-                self.front_fifo.push_back(s);
+            // Due within the current tick: exact ordering happens in the
+            // front tier. Same-instant entries (`at == sched`: sends,
+            // go-back-N bursts, zero-delay hops) have their own lane, so a
+            // later entry of the same tick waiting in the FIFO lane cannot
+            // push a burst into the heap; each lane takes entries while
+            // keys arrive in order, the heap takes the out-of-order rest.
+            let lane = if s.at == s.sched {
+                &mut self.front_now
             } else {
-                self.front.push(Reverse(entry));
+                &mut self.front_fifo
+            };
+            if lane.back().is_none_or(|b| b.key() <= s.key()) {
+                lane.push_back(s);
+            } else {
+                self.front.push(Reverse(FrontEntry(s)));
             }
         } else {
             let diff = tick ^ self.cursor;
@@ -241,7 +269,7 @@ impl PacketWheel {
     /// lower levels, so this terminates.
     #[inline]
     fn refill_front(&mut self) {
-        while self.front.is_empty() && self.front_fifo.is_empty() {
+        while self.front.is_empty() && self.front_fifo.is_empty() && self.front_now.is_empty() {
             let mut found = None;
             for (level, &occ) in self.occupied.iter().enumerate() {
                 if occ != 0 {
@@ -261,45 +289,45 @@ impl PacketWheel {
             let tick_lo = (self.cursor & high_mask) | ((slot as u64) << shift);
             debug_assert!(tick_lo > self.cursor);
             self.cursor = tick_lo;
-            let entries = std::mem::take(&mut self.slots[idx]);
-            for s in entries {
+            let mut entries = std::mem::take(&mut self.slots[idx]);
+            for s in entries.drain(..) {
                 self.place(s);
             }
+            // No entry re-enters the slot being drained, so its emptied
+            // buffer goes back for the next push to reuse.
+            debug_assert!(self.slots[idx].is_empty());
+            self.slots[idx] = entries;
         }
     }
 
-    /// Whether the next front-tier entry comes from the FIFO lane
-    /// (smaller key than the heap head). Call after `refill_front`.
+    /// The earliest entry's key and the front-tier structure holding it,
+    /// advancing the wheel first if the front tier is empty.
     #[inline]
-    fn fifo_first(&self) -> bool {
-        match (self.front_fifo.front(), self.front.peek()) {
-            (Some(f), Some(Reverse(h))) => FrontEntry(*f).key() < h.key(),
-            (Some(_), None) => true,
-            (None, _) => false,
-        }
-    }
-
-    #[inline]
-    fn peek(&mut self) -> Option<&Scheduled> {
+    fn peek(&mut self) -> Option<((SimTime, SimTime, u64), Lane)> {
         self.refill_front();
-        if self.fifo_first() {
-            return self.front_fifo.front();
-        }
-        self.front.peek().map(|Reverse(FrontEntry(s))| s)
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Scheduled> {
-        self.refill_front();
-        let s = if self.fifo_first() {
-            self.front_fifo.pop_front()
-        } else {
-            self.front.pop().map(|Reverse(FrontEntry(s))| s)
+        // Seqs are unique, so the keys never tie.
+        let (key, lane) = match (self.front_now.front(), self.front_fifo.front()) {
+            (Some(n), Some(f)) if f.key() < n.key() => (f.key(), Lane::Fifo),
+            (Some(n), _) => (n.key(), Lane::Now),
+            (None, Some(f)) => (f.key(), Lane::Fifo),
+            (None, None) => return self.front.peek().map(|Reverse(h)| (h.key(), Lane::Heap)),
         };
-        if s.is_some() {
-            self.len -= 1;
+        match self.front.peek() {
+            Some(Reverse(h)) if h.key() < key => Some((h.key(), Lane::Heap)),
+            _ => Some((key, lane)),
         }
-        s
+    }
+
+    /// Removes the head of `lane`, which [`peek`](Self::peek) just named.
+    #[inline]
+    fn pop(&mut self, lane: Lane) -> Scheduled {
+        self.len -= 1;
+        match lane {
+            Lane::Now => self.front_now.pop_front(),
+            Lane::Fifo => self.front_fifo.pop_front(),
+            Lane::Heap => self.front.pop().map(|Reverse(FrontEntry(s))| s),
+        }
+        .expect("peek named a non-empty lane")
     }
 
     #[inline]
@@ -497,14 +525,18 @@ impl TimerWheel {
             let tick_lo = (self.cursor & high_mask) | ((slot as u64) << shift);
             debug_assert!(tick_lo > self.cursor);
             self.cursor = tick_lo;
-            let pairs = std::mem::take(&mut self.slots[idx]);
-            for (id, gen) in pairs {
+            let mut pairs = std::mem::take(&mut self.slots[idx]);
+            for (id, gen) in pairs.drain(..) {
                 if self.entries[id as usize].gen != gen {
                     continue; // cancelled while parked
                 }
                 let at = self.entries[id as usize].at;
                 self.place(id, gen, at);
             }
+            // As in the packet wheel: the slot stays empty, so its buffer
+            // goes back for reuse.
+            debug_assert!(self.slots[idx].is_empty());
+            self.slots[idx] = pairs;
         }
     }
 
@@ -686,33 +718,26 @@ impl EventQueue {
 
     #[inline]
     fn pop_when(&mut self, admit: impl Fn(SimTime) -> bool) -> Option<(SimTime, Event)> {
-        let packet_key = self.packets.peek().map(|s| (s.at, s.sched, s.seq));
+        let packet = self.packets.peek();
         let timer_key = self.timers.peek();
-        let take_packet = match (packet_key, timer_key) {
+        let take_packet = match (packet, timer_key) {
             (None, None) => return None,
-            (Some(p), None) => {
-                if !admit(p.0) {
-                    return None;
-                }
-                true
-            }
-            (None, Some(t)) => {
-                if !admit(t.0) {
-                    return None;
-                }
-                false
-            }
             // Seqs are globally unique, so the keys never tie.
-            (Some(p), Some(t)) => {
-                if !admit(p.min(t).0) {
-                    return None;
-                }
-                p < t
-            }
+            (Some((p, _)), Some(t)) => p < t,
+            (p, _) => p.is_some(),
         };
         if take_packet {
-            self.packets.pop().map(|s| (s.at, s.event))
+            let (key, lane) = packet?;
+            if !admit(key.0) {
+                return None;
+            }
+            let s = self.packets.pop(lane);
+            Some((s.at, s.event))
         } else {
+            let (at, _, _) = timer_key?;
+            if !admit(at) {
+                return None;
+            }
             self.timers
                 .pop()
                 .map(|(at, _, agent, token)| (at, Event::Timer { agent, token }))
@@ -725,7 +750,7 @@ impl EventQueue {
     /// (moving due timers into its front heap); the observable queue
     /// contents are unchanged.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let p = self.packets.peek().map(|s| s.at);
+        let p = self.packets.peek().map(|((at, _, _), _)| at);
         let t = self.timers.peek().map(|(at, _, _)| at);
         match (p, t) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -898,6 +923,42 @@ mod tests {
 
     /// One wheel tick in nanoseconds.
     const TICK: u64 = 1 << TICK_SHIFT;
+    /// One packet-wheel tick in nanoseconds.
+    const PKT_TICK: u64 = 1 << PKT_TICK_SHIFT;
+
+    #[test]
+    fn same_instant_burst_stays_out_of_the_front_heap() {
+        // Bring the packet cursor to `t`'s tick, park a later entry of the
+        // same tick in the FIFO lane, then send a burst at exactly `now`:
+        // the burst takes the same-instant lane, never the heap.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(100 * PKT_TICK);
+        q.schedule(t, link(0));
+        assert_eq!(q.pop(), Some((t, link(0))));
+        q.set_now(t);
+        let later = SimTime::from_nanos(t.as_nanos() + 1_000);
+        q.schedule(later, link(1));
+        for i in 0..1_000 {
+            q.schedule(t, link(2 + i));
+            assert!(
+                q.packets.front.is_empty(),
+                "burst entry {i} went to the heap"
+            );
+        }
+        let mut got = Vec::new();
+        while let Some((at, e)) = q.pop() {
+            assert!(q.packets.front.is_empty());
+            let Event::LinkTxDone { link } = e else {
+                unreachable!()
+            };
+            got.push((at, link.as_u32()));
+        }
+        // `(at, sched, seq)` order: the burst at `t` in scheduling order,
+        // then the entry a microsecond later.
+        let mut want: Vec<(SimTime, u32)> = (2..1_002).map(|i| (t, i)).collect();
+        want.push((later, 1));
+        assert_eq!(got, want);
+    }
 
     #[test]
     fn wheel_cascade_boundaries() {
@@ -966,6 +1027,32 @@ mod tests {
         }
     }
 
+    /// `(at, token)` of one pop, or `None` when empty.
+    type Popped = Option<(u64, u64)>;
+
+    /// Pops the queue and an `(at, sched, seq)` model (the seq doubles as
+    /// the event's token) once each, then advances the queue's scheduling
+    /// clock to the popped instant as the engine does.
+    fn pop_like_the_engine(
+        q: &mut EventQueue,
+        model: &mut Vec<(u64, u64, u64)>,
+    ) -> (Popped, Popped) {
+        let got = q.pop().map(|(at, e)| {
+            q.set_now(at);
+            let tok = match e {
+                Event::Timer { token, .. } => token,
+                Event::LinkTxDone { link } => u64::from(link.as_u32()),
+                _ => unreachable!(),
+            };
+            (at.as_nanos(), tok)
+        });
+        let want = (0..model.len()).min_by_key(|&i| model[i]).map(|i| {
+            let (at, _, seq) = model.swap_remove(i);
+            (at, seq)
+        });
+        (got, want)
+    }
+
     proptest::proptest! {
         /// Property: regardless of insertion order, events pop sorted by
         /// (time, insertion sequence).
@@ -985,6 +1072,72 @@ mod tests {
                 })
                 .collect();
             proptest::prop_assert_eq!(got, expected);
+        }
+
+        /// Property: under the engine's discipline — `set_now(at)` after
+        /// every pop, nothing scheduled before `now` — pops follow the
+        /// exact `(at, sched, seq)` order of a sorted model, so the `sched`
+        /// tie-break and every front-tier lane are exercised.
+        ///
+        /// Ops: (kind % 6, value). Offsets from `now` are whole quarter
+        /// packet ticks, so many entries share an instant and only
+        /// `sched` and `seq` order them; `d` is `value % 12` quarter ticks.
+        /// 0 ⇒ a burst of `1 + value % 8` link events at exactly `now`,
+        /// 1 ⇒ a link event at `now + d` (inside the current tick or just
+        /// past it), 2 ⇒ a link event about `value` ns ahead (several
+        /// wheel levels up), 3 ⇒ a timer up to 64 timer ticks ahead,
+        /// 4 ⇒ `inject(now + d, now − value % (now + 1))`, 5 ⇒ pop.
+        #[test]
+        fn prop_engine_discipline_pops_in_exact_key_order(
+            ops in proptest::collection::vec((0u8..6, 0u64..(1u64 << 33)), 1..400)
+        ) {
+            let mut q = EventQueue::new();
+            let mut model = Vec::new();
+            let mut seq = 0u64;
+            for &(kind, value) in &ops {
+                let now = q.now.as_nanos();
+                let quarters = |ns: u64| ns & !(PKT_TICK / 4 - 1);
+                let d = value % 12 * (PKT_TICK / 4);
+                match kind {
+                    0 => {
+                        for _ in 0..=value % 8 {
+                            q.schedule(SimTime::from_nanos(now), link(seq));
+                            model.push((now, now, seq));
+                            seq += 1;
+                        }
+                    }
+                    1 | 2 => {
+                        let at = now + if kind == 1 { d } else { quarters(value) };
+                        q.schedule(SimTime::from_nanos(at), link(seq));
+                        model.push((at, now, seq));
+                        seq += 1;
+                    }
+                    3 => {
+                        let at = now + quarters(value % (64 * TICK));
+                        q.schedule(SimTime::from_nanos(at), timer(seq));
+                        model.push((at, now, seq));
+                        seq += 1;
+                    }
+                    4 => {
+                        let (at, sched) = (now + d, now - value % (now + 1));
+                        q.inject(SimTime::from_nanos(at), SimTime::from_nanos(sched), link(seq));
+                        model.push((at, sched, seq));
+                        seq += 1;
+                    }
+                    _ => {
+                        let (got, want) = pop_like_the_engine(&mut q, &mut model);
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                }
+                proptest::prop_assert_eq!(q.len(), model.len());
+            }
+            loop {
+                let (got, want) = pop_like_the_engine(&mut q, &mut model);
+                proptest::prop_assert_eq!(got, want);
+                if want.is_none() {
+                    break;
+                }
+            }
         }
 
         /// Property: arbitrary interleavings of schedule / cancel / pop

@@ -43,7 +43,9 @@ impl DropTailQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be at least 1 packet");
         DropTailQueue {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
+            // Grows on demand: most links never queue more than a few
+            // packets, and a forked copy keeps only `len` capacity anyway.
+            buf: VecDeque::new(),
             capacity,
             bytes: Bytes::ZERO,
             drops: 0,

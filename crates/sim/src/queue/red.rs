@@ -142,7 +142,9 @@ impl RedQueue {
         assert!(!bandwidth.is_zero(), "RED needs a positive drain rate");
         let mean_service_time_s = cfg.mean_packet_size.as_bits() as f64 / bandwidth.as_bps();
         RedQueue {
-            buf: VecDeque::with_capacity(cfg.capacity.min(4096)),
+            // Grows on demand: most links never queue more than a few
+            // packets, and a forked copy keeps only `len` capacity anyway.
+            buf: VecDeque::new(),
             bytes: Bytes::ZERO,
             avg: 0.0,
             count: -1,

@@ -15,9 +15,8 @@
 //! 29 bytes: six `u32` window and sequence fields, a `u8` duplicate-ACK
 //! count and the [`RtoWheel`]'s `u32` arm epoch. A [`SinkBank`] flow
 //! costs one `u32`. The repo benchmark's `mem.bytes_per_flow` for its
-//! 10⁶-flow ring reads 39.6 B: these 33 B plus the topology's fixed
-//! allocations, chiefly the access links' preallocated queue buffers,
-//! divided by the flow count.
+//! 10⁶-flow ring reads 33.1 B: these 33 B plus the topology's fixed
+//! allocations divided by the flow count.
 //!
 //! The engine sees a single agent per host; the many flows are
 //! multiplexed through the ordinary `(node, flow)` bindings, and all of
